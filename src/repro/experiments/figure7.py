@@ -32,7 +32,13 @@ from ..queueing.mg1 import MG1
 from .records import PanelResult, Series
 from .sweep import MACRunSpec, SequentialOptions, SweepExecutor, run_sequential
 
-__all__ = ["PanelConfig", "PAPER_PANELS", "default_deadlines", "generate_panel"]
+__all__ = [
+    "PanelConfig",
+    "PAPER_PANELS",
+    "baseline_losses",
+    "default_deadlines",
+    "generate_panel",
+]
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,25 @@ def default_deadlines(config: PanelConfig) -> list:
     m = config.message_length
     multipliers = (0.5, 1, 1.5, 2, 3, 4, 6, 8, 12)
     return [m * mult for mult in multipliers]
+
+
+def baseline_losses(config: PanelConfig, deadlines: Sequence[float]) -> tuple:
+    """Uncontrolled FCFS and LCFS deadline-miss probabilities per deadline.
+
+    Returns ``(fcfs, lcfs)`` loss lists aligned with ``deadlines``.  The
+    LCFS curve comes from one delay-busy-period solve at the largest
+    deadline, on a lattice twice as fine as the service pmf's.
+    """
+    lam = config.arrival_rate
+    service = config.service_pmf()
+    fcfs_queue = MG1(lam, service)
+    if fcfs_queue.rho >= 1:
+        # Saturated uncontrolled queue: every steady-state wait is
+        # unbounded, so the deadline-miss probability is 1.
+        return [1.0] * len(deadlines), [1.0] * len(deadlines)
+    fcfs = [fcfs_queue.loss_beyond_deadline(k) for k in deadlines]
+    lcfs = LCFSQueue(lam, service.refine(2)).loss_curve(deadlines)
+    return fcfs, lcfs
 
 
 def generate_panel(
@@ -220,23 +245,25 @@ def generate_panel(
     result.add_series(controlled)
 
     # -- uncontrolled baselines, analytic --------------------------------------
-    service = config.service_pmf()
-    fcfs_queue = MG1(lam, service)
-    lcfs_queue = LCFSQueue(lam, service.refine(2))
-    fcfs = Series("fcfs_analytic")
-    lcfs = Series("lcfs_analytic")
-    stable = fcfs_queue.rho < 1
-    for deadline in deadlines:
-        if stable:
-            fcfs.add(deadline, fcfs_queue.loss_beyond_deadline(deadline))
-            lcfs.add(deadline, lcfs_queue.loss_beyond_deadline(deadline))
-        else:
-            # Saturated uncontrolled queue: every steady-state wait is
-            # unbounded, so the deadline-miss probability is 1.
-            fcfs.add(deadline, 1.0)
-            lcfs.add(deadline, 1.0)
-    result.add_series(fcfs)
-    result.add_series(lcfs)
+    with trace.span(
+        "figure7.baselines", rho=config.rho_prime, m=config.message_length
+    ):
+        baselines = get_or_compute(
+            "figure7-baselines-v1",
+            (
+                config.rho_prime,
+                config.message_length,
+                config.scheduling,
+                config.target_occupancy(),
+                tuple(deadlines),
+            ),
+            lambda: baseline_losses(config, deadlines),
+        )
+    for name, losses in zip(("fcfs_analytic", "lcfs_analytic"), baselines):
+        series = Series(name)
+        for deadline, loss in zip(deadlines, losses):
+            series.add(deadline, loss)
+        result.add_series(series)
 
     # -- simulation arms ----------------------------------------------------------
     if include_simulation:

@@ -3,18 +3,25 @@
 Needed for the non-preemptive LCFS waiting-time analysis
 (:mod:`repro.queueing.lcfs`), the [Kurose 83] LCFS baseline of Figure 7.
 
-In a slotted system with per-slot Bernoulli(a) arrivals, the busy period
-``G`` started by one customer satisfies the branching identity
+In a slotted system with per-slot Bernoulli(a) arrivals, every slot of
+work served brings in ``Y_i`` new slots of work, where
+``Y = (1 − a)·δ₀ + a·X`` (an arrival with probability a, carrying one
+service time X).  Started with ``k`` slots of work, the unfinished work
+after ``n`` served slots is ``k + S_n − n`` with ``S_n = Σ_{i≤n} Y_i``:
+a walk that moves down by at most one per step.  A busy period is its
+first passage to 0, so the hitting-time theorem (Kemperman 1961;
+Takács 1962) gives the pmf in closed form:
 
-    G  =  Σ_{slots s of the initial service}  (1 + A_s · G_s)
+    P(D = n) = Σ_{k≥1} P(R = k) · (k/n) · P(S_n = n − k),   P(D = 0) = P(R = 0)
 
-where ``A_s`` is the arrival indicator of slot ``s`` and the ``G_s`` are
-iid copies of ``G`` (each arrival during a service ultimately contributes
-its own sub-busy-period).  In pgf form  ``G(z) = X̃(z·(1 − a + a·G(z)))``.
-We solve it by fixed-point iteration directly on truncated pmf arrays:
-starting from G₀ = pmf of X, repeatedly substitute.  The iteration is
-monotone in the truncated total mass and converges geometrically for
-ρ < 1.
+for the *delay busy period* ``D`` started by initial work ``R``; the
+ordinary busy period ``G`` is the case ``R = X``.  Both solve the
+branching identities ``G(z) = X̃(z·(1 − a + a·G(z)))`` and
+``D(z) = R̃(z·(1 − a + a·G(z)))``.  One pass carries ``Y^{*n}`` forward
+by one truncated convolution per n: no iteration, no tolerance, and
+O(N) memory for a horizon of N lattice points.  Truncation only drops
+mass above the horizon, so every returned probability is exact up to
+float rounding.
 """
 
 from __future__ import annotations
@@ -26,42 +33,36 @@ from .distributions import LatticePMF
 __all__ = ["busy_period_pmf", "delay_busy_period_pmf"]
 
 
-def _compose(
-    initial: np.ndarray, a: float, g: np.ndarray, limit: int
+def _first_passage(
+    initial: np.ndarray, a: float, service: np.ndarray, limit: int
 ) -> np.ndarray:
-    """PMF of ``Σ_{s=1..T} (1 + A_s·G_s)`` with ``T ~ initial``.
-
-    ``initial`` is the pmf of the number of slots T (lattice counts).
-    Computes Σ_t P(T = t) · W^{*t} truncated to ``limit``, where
-    ``W = δ₁ ⊛ ((1 − a)δ₀ + a·G)`` is the per-slot contribution.
-    """
-    # Per-slot kernel W: 1 slot of work plus (with prob a) a sub-busy period.
-    w = np.zeros(min(limit, g.size + 1))
-    w[0] = 0.0
-    w[1:] = a * g[: w.size - 1]
-    if w.size > 1:
-        w[1] += 1.0 - a
-    elif limit > 1:  # pragma: no cover - degenerate truncation
-        pass
+    """``P(D = n)`` for ``n < limit``, D started by work ``R ~ initial``."""
+    weighted = np.zeros(limit)  # k · P(R = k)
+    head = initial[:limit]
+    weighted[: head.size] = np.arange(head.size) * head
+    y = a * service[:limit]
+    y[0] += 1.0 - a
+    # S_n lives on multiples of the gcd of Y's support (2 when the service
+    # pmf was refined by 2), so carry Y^{*n} on that coarser lattice:
+    # power[i] = P(S_n = stride·i).
+    stride = int(np.gcd.reduce(np.flatnonzero(y))) or 1
+    y = y[::stride]
+    size = (limit - 1) // stride + 1
 
     out = np.zeros(limit)
-    power = np.zeros(limit)
-    power[0] = 1.0  # W^{*0}
-    max_t = initial.size - 1
-    for t in range(max_t + 1):
-        if t > 0:
-            power = np.convolve(power, w)[:limit]
-        if initial[t] > 0:
-            out += initial[t] * power
+    out[0] = initial[0]
+    power = np.zeros(size)
+    power[0] = 1.0  # Y^{*0}
+    for n in range(1, limit):
+        # Entries above n of Y^{*n} feed later steps, so keep all `size`.
+        power = np.convolve(power, y)[:size]
+        terms = weighted[n:0:-stride]  # k = n, n − stride, ... ≥ 1
+        out[n] = np.dot(terms, power[: terms.size]) / n
     return out
 
 
 def busy_period_pmf(
-    service: LatticePMF,
-    arrival_rate: float,
-    horizon: float,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    service: LatticePMF, arrival_rate: float, horizon: float
 ) -> LatticePMF:
     """Busy-period pmf of the slotted M/G/1 queue, truncated at ``horizon``.
 
@@ -73,32 +74,11 @@ def busy_period_pmf(
         Poisson rate λ; per-slot arrival probability ``a = 1 − e^{−λ·delta}``.
     horizon:
         Truncation horizon: mass beyond it is dropped (the returned pmf is
-        sub-stochastic; probabilities below the horizon are exact up to
-        the iteration tolerance).
+        sub-stochastic; probabilities below the horizon are exact).
     """
     if service.p[0] > 0:
         raise ValueError("service times must be at least one lattice slot")
-    delta = service.delta
-    a = 1.0 - np.exp(-arrival_rate * delta)
-    limit = int(np.floor(horizon / delta + 1e-9)) + 1
-    x = service.p[:limit].copy()
-
-    g = x.copy()
-    if g.size < limit:
-        g = np.concatenate([g, np.zeros(limit - g.size)])
-    for _ in range(max_iter):
-        g_next = _compose(service.p, a, g, limit)
-        change = float(np.abs(g_next - g).sum())
-        g = g_next
-        if change < tol:
-            break
-    else:  # pragma: no cover - safeguarded by geometric convergence
-        raise RuntimeError("busy-period iteration did not converge")
-
-    result = LatticePMF.__new__(LatticePMF)
-    result.p = np.clip(g, 0.0, None)
-    result.delta = delta
-    return result
+    return delay_busy_period_pmf(service, service, arrival_rate, horizon)
 
 
 def delay_busy_period_pmf(
@@ -106,7 +86,6 @@ def delay_busy_period_pmf(
     service: LatticePMF,
     arrival_rate: float,
     horizon: float,
-    tol: float = 1e-10,
 ) -> LatticePMF:
     """PMF of a busy period initiated by work drawn from ``initial_delay``.
 
@@ -120,9 +99,8 @@ def delay_busy_period_pmf(
         raise ValueError("initial delay and service must share the lattice step")
     a = 1.0 - np.exp(-arrival_rate * delta)
     limit = int(np.floor(horizon / delta + 1e-9)) + 1
-    g = busy_period_pmf(service, arrival_rate, horizon, tol=tol).p
-    out = _compose(initial_delay.p, a, g, limit)
+    # Sub-stochastic by construction (mass beyond the horizon is dropped).
     result = LatticePMF.__new__(LatticePMF)
-    result.p = np.clip(out, 0.0, None)
+    result.p = _first_passage(initial_delay.p, a, service.p, limit)
     result.delta = delta
     return result

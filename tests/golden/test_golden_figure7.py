@@ -1,16 +1,21 @@
-"""Golden regression: Figure-7 analytic fractions-late at (ρ′=0.5, M=25).
+"""Golden regression: Figure-7 analytic fractions-late.
 
 The pinned values in ``figure7_rho05_m25.json`` are this repo's own
 deterministic outputs of eq. 4.7 (§4.1 iteration) and the two
-uncontrolled M/G/1 tails over the default deadline grid.  Tolerance is
-tight (1e-9 relative) because the computation is closed-form: anything
-beyond accumulated float noise is a real numerical change and should be
+uncontrolled M/G/1 tails over the default deadline grid at (ρ′=0.5,
+M=25).  ``figure7_lcfs_m100.json`` pins the LCFS tail at M=100: the
+benchmark grid at ρ′=0.75 (K ≤ 3M) and the full default grid at ρ′=0.5
+(K ≤ 12M), both recorded from the busy-period fixed-point solver before
+it was replaced by the hitting-time closed form.  Tolerance is tight
+(1e-9 relative) because the computation is closed-form: anything beyond
+accumulated float noise is a real numerical change and should be
 reviewed, then re-pinned deliberately.
 """
 
 import pytest
 
 from repro.experiments import PanelConfig, generate_panel
+from repro.experiments.figure7 import baseline_losses
 
 from .checks import assert_matches_golden, load_golden
 
@@ -18,6 +23,7 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 GOLDEN = load_golden("figure7_rho05_m25.json")
+LCFS_M100 = load_golden("figure7_lcfs_m100.json")
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +44,27 @@ def test_fractions_late_match_golden(panel, series_name):
         rel_tol=REL_TOL,
         abs_tol=ABS_TOL,
         label=series_name,
+    )
+
+
+@pytest.mark.parametrize(
+    "pinned",
+    LCFS_M100["panels"],
+    ids=lambda p: f"rho{p['rho_prime']}-m{p['message_length']}",
+)
+def test_lcfs_m100_matches_golden(pinned):
+    config = PanelConfig(
+        rho_prime=pinned["rho_prime"],
+        message_length=pinned["message_length"],
+        scheduling=pinned["scheduling"],
+    )
+    _, lcfs = baseline_losses(config, pinned["deadlines"])
+    assert_matches_golden(
+        lcfs,
+        pinned["fraction_late"],
+        rel_tol=REL_TOL,
+        abs_tol=ABS_TOL,
+        label=f"lcfs_analytic(rho={config.rho_prime}, m={config.message_length})",
     )
 
 

@@ -47,6 +47,23 @@ class TestLCFS:
         with pytest.raises(ValueError):
             LCFSQueue(0.05, deterministic_pmf(10.0)).loss_beyond_deadline(-1.0)
 
+    def test_loss_curve_matches_pointwise_solves(self):
+        """One solve at the largest deadline equals a solve per deadline."""
+        queue = LCFSQueue(0.06, deterministic_pmf(10.0).refine(2))
+        grid = [0.0, 10.0, 35.5, 60.0, 120.0]
+        curve = queue.loss_curve(grid)
+        assert curve == [queue.loss_beyond_deadline(k) for k in grid]
+        assert curve == [queue.wait_survival_at(k) for k in grid]
+        assert queue.loss_curve(grid[::-1]) == curve[::-1]
+
+    def test_loss_curve_edges(self):
+        queue = LCFSQueue(0.06, deterministic_pmf(10.0))
+        assert queue.loss_curve([]) == []
+        with pytest.raises(ValueError):
+            queue.loss_curve([10.0, -1.0])
+        saturated = LCFSQueue(0.2, deterministic_pmf(10.0))
+        assert saturated.loss_curve([5.0, 50.0]) == [1.0, 1.0]
+
     def test_survival_monotone_decreasing(self):
         queue = LCFSQueue(0.06, deterministic_pmf(10.0).refine(2))
         values = [queue.wait_survival_at(t) for t in (0, 10, 30, 60, 120)]

@@ -119,3 +119,23 @@ def test_figure7_analytic_curve_served_from_memo():
         memoised.series["controlled_analytic"].points
         == fresh.series["controlled_analytic"].points
     )
+
+
+def test_figure7_baselines_served_from_memo(monkeypatch):
+    """A warm second panel reads both baselines without an LCFS pass."""
+    from repro.queueing.lcfs import LCFSQueue
+
+    config = PanelConfig(rho_prime=0.5, message_length=25)
+    deadlines = [25.0, 75.0]
+    fresh = generate_panel(config, deadlines=deadlines)
+
+    def no_lcfs_pass(self, deadlines):
+        raise AssertionError("LCFS curve recomputed despite a warm memo")
+
+    monkeypatch.setattr(LCFSQueue, "loss_curve", no_lcfs_pass)
+    warm = generate_panel(config, deadlines=deadlines)
+    cache.clear_memory()  # the disk layer must serve it too
+    from_disk = generate_panel(config, deadlines=deadlines)
+    for name in ("fcfs_analytic", "lcfs_analytic"):
+        assert warm.series[name].points == fresh.series[name].points
+        assert from_disk.series[name].points == fresh.series[name].points

@@ -292,6 +292,7 @@ class TestObservabilityFlags:
 
         events = load_trace(trace_path)
         assert any(e["name"] == "figure7.analytic" for e in events)
+        assert any(e["name"] == "figure7.baselines" for e in events)
         assert all(e["ph"] in ("X", "i") for e in events)
 
     def test_global_registry_uninstalled_after_command(self, tmp_path):
