@@ -5,7 +5,7 @@ artifacts are checked in), or ``python -m benchmarks.perf --quick`` for
 the CI smoke variant.  Artifacts land in ``benchmarks/results/``:
 
 * ``BENCH_mac.json`` — machine-readable numbers (kernel slots/sec,
-  batched-lane and compiled-backend speedups, the ``stations_1e5``
+  default-engine cohort and compiled-backend speedups, the ``stations_1e5``
   scaling arm, end-to-end sweep wall-clock) appended as one
   schema-2 history entry per invocation, for tracking across PRs;
 * ``perf_kernel.txt`` — the same numbers as a human table.

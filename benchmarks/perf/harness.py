@@ -28,7 +28,7 @@ import json
 import platform
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -44,7 +44,6 @@ from repro.experiments.sweep import (
     run_spec,
 )
 from repro.mac import WindowMACSimulator
-from repro.mac.batch import run_batch
 from repro.obs.metrics import MetricsRegistry
 from repro.stats import t_interval
 
@@ -119,7 +118,7 @@ def _time_kernel(config: PerfConfig, fast: bool, rounds: int = 3):
             transmission_slots=config.message_length,
             deadline=config.deadline,
             seed=config.seed,
-            fast=fast,
+            backend="fast" if fast else "reference",
         )
         return _timed(
             lambda: simulator.run(config.horizon, warmup_slots=config.warmup)
@@ -177,7 +176,7 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 20) -> d
             transmission_slots=config.message_length,
             deadline=config.deadline,
             seed=config.seed,
-            fast=True,
+            backend="fast",
             metrics=metrics,
         )
         return _timed(
@@ -216,16 +215,17 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 20) -> d
     }
 
 
-def measure_batch(
+def measure_cohort(
     config: PerfConfig, replications: int = 16, rounds: int = 3
 ) -> dict:
-    """Batched replication kernel versus the sequential fast kernel.
+    """A seed cohort on the default engine versus the fast kernel.
 
-    The ISSUE 5 acceptance measurement: one Figure-7 arm at ``config``'s
-    cell, ``replications`` seeds spawned exactly as the sweep grids
-    spawn theirs, timed as min-of-``rounds`` CPU seconds per arm with
-    the rounds interleaved.  Bit-parity between the batched lanes and
-    the sequential fast kernel is asserted on **every** timed round —
+    One Figure-7 arm at ``config``'s cell, ``replications`` seeds
+    spawned exactly as the sweep grids spawn theirs, run the way a sweep
+    runs it (one :meth:`SweepExecutor.run_specs` call on the default
+    engine) against the fast kernel one spec at a time, timed as
+    min-of-``rounds`` CPU seconds per arm with the rounds interleaved.
+    Bit-parity between the two is asserted on **every** timed round —
     the CI gate fails on the first diverging field, not just on a slow
     run.
     """
@@ -242,29 +242,30 @@ def measure_batch(
         )
         for seed in derive_seeds(config.seed, replications)
     ]
-    sequential_times, batched_times = [], []
+    fast_specs = [replace(spec, backend="fast") for spec in specs]
+    fast_times, engine_times = [], []
     for _ in range(rounds):
-        elapsed, sequential = _timed(lambda: [run_spec(s) for s in specs])
-        sequential_times.append(elapsed)
-        elapsed, batched = _timed(lambda: run_batch(specs))
-        batched_times.append(elapsed)
-        if batched != sequential:
+        elapsed, fast = _timed(lambda: [run_spec(s) for s in fast_specs])
+        fast_times.append(elapsed)
+        elapsed, engine = _timed(lambda: SweepExecutor(None).run_specs(specs))
+        engine_times.append(elapsed)
+        if engine != fast:
             raise AssertionError(
-                "batched lanes diverged from the sequential fast kernel "
-                "while being timed"
+                "the default engine diverged from the fast kernel while "
+                "being timed"
             )
-    sequential_s = min(sequential_times)
-    batched_s = min(batched_times)
+    fast_s = min(fast_times)
+    engine_s = min(engine_times)
     slots = replications * (config.horizon + config.warmup)
     return {
         "replications": replications,
         "rounds": rounds,
         "slots": slots,
-        "sequential_fast_s": sequential_s,
-        "batched_s": batched_s,
-        "sequential_slots_per_s": slots / sequential_s,
-        "batched_slots_per_s": slots / batched_s,
-        "speedup": sequential_s / batched_s,
+        "fast_s": fast_s,
+        "engine_s": engine_s,
+        "fast_slots_per_s": slots / fast_s,
+        "engine_slots_per_s": slots / engine_s,
+        "speedup": fast_s / engine_s,
     }
 
 
@@ -272,7 +273,7 @@ def measure_compiled(config: PerfConfig, rounds: int = 5) -> dict:
     """Compiled backend versus the fast kernel (the ISSUE 7 tentpole).
 
     Always measured at the full-size Figure-7 acceptance cell (like the
-    16-seed batch arm): a shrunken horizon would understate the sprint
+    16-seed cohort arm): a shrunken horizon would understate the sprint
     and fast-forward amortisation the flat engine exists to exploit.
     Bit-parity between the compiled backend and the fast kernel is
     asserted on **every** timed round.  ``numba`` records which flavour
@@ -459,7 +460,7 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
     Two protocol arms (controlled and FCFS) at the Figure-7 acceptance
     cell, both certifying the same CI half-width target:
 
-    * **fixed** — ``SEQUENTIAL_FIXED_LANES`` batched lanes per arm (the
+    * **fixed** — ``SEQUENTIAL_FIXED_LANES`` lanes per arm (the
       pre-committed budget a fixed design needs for the grid's hardest
       arm), half-width reported from the per-lane t interval;
     * **sequential** — :func:`repro.experiments.sweep.run_sequential`
@@ -496,7 +497,9 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
         for policy in (policy_controlled, policy_fcfs)
         for s in seeds
     ]
-    fixed_s, fixed_results = _timed(lambda: run_batch(fixed_specs))
+    fixed_s, fixed_results = _timed(
+        lambda: SweepExecutor(None).run_specs(fixed_specs)
+    )
     controlled = [
         r.loss_fraction for r in fixed_results[:SEQUENTIAL_FIXED_LANES]
     ]
@@ -519,7 +522,7 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
         spending="obf",
         crn=True,
     )
-    executor = SweepExecutor(None, None, batch=True)
+    executor = SweepExecutor(None, None)
     sequential_s, estimates = _timed(
         lambda: run_sequential(
             [
@@ -580,9 +583,7 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
     }
 
 
-def _time_sweep(
-    config: PerfConfig, fast: bool, workers: Optional[int], batch: bool = True
-):
+def _time_sweep(config: PerfConfig, fast: bool, workers: Optional[int]):
     panel = PanelConfig(
         rho_prime=config.rho_prime, message_length=config.message_length
     )
@@ -595,14 +596,12 @@ def _time_sweep(
         sim_seed=config.seed,
         workers=workers,
         sim_fast=fast,
-        batch=batch,
     )
     elapsed = time.perf_counter() - start
     return {
         "elapsed_s": elapsed,
         "workers": workers or 1,
         "fast": fast,
-        "batch": batch,
     }, result
 
 
@@ -653,10 +652,9 @@ def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> di
         },
         "instrumentation": measure_instrumentation_overhead(config),
         # Always measured at the full-size acceptance cell (the 16-seed
-        # Figure-7 arm of ISSUE 5), independent of smoke scaling: a
-        # shrunken arm would understate the amortised per-run overheads
-        # the batched kernel exists to remove.
-        "batch_16seed": measure_batch(PerfConfig()),
+        # Figure-7 arm), independent of smoke scaling: a shrunken arm
+        # would understate the per-run overheads the engine removes.
+        "cohort_16seed": measure_cohort(PerfConfig()),
         # Also full-size, for the same reason: the compiled-vs-fast
         # ratio and the 1e5-station scaling arm are acceptance gates.
         "compiled": measure_compiled(PerfConfig()),
@@ -677,27 +675,23 @@ def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> di
         optimised, opt_panel = _time_sweep(
             config, fast=True, workers=config.workers
         )
-        pr2_arm, pr2_panel = _time_sweep(
-            config, fast=True, workers=None, batch=False
-        )
-        baseline, base_panel = _time_sweep(
-            config, fast=False, workers=None, batch=False
-        )
+        inline, inline_panel = _time_sweep(config, fast=True, workers=None)
+        baseline, base_panel = _time_sweep(config, fast=False, workers=None)
         for name, series in base_panel.series.items():
             if opt_panel.series[name].points != series.points:
                 raise AssertionError(
                     f"parallel fast sweep diverged on series {name!r}"
                 )
-            if pr2_panel.series[name].points != series.points:
+            if inline_panel.series[name].points != series.points:
                 raise AssertionError(
                     f"sequential fast sweep diverged on series {name!r}"
                 )
         payload["end_to_end"] = {
             "baseline_sequential_slow": baseline,
-            "fast_sequential": pr2_arm,
+            "fast_sequential": inline,
             "fast_parallel": optimised,
             "speedup": baseline["elapsed_s"] / optimised["elapsed_s"],
-            "batch_speedup": pr2_arm["elapsed_s"] / optimised["elapsed_s"],
+            "parallel_speedup": inline["elapsed_s"] / optimised["elapsed_s"],
         }
     return payload
 
@@ -732,18 +726,18 @@ def render_table(payload: dict) -> str:
             f"{obs['enabled_registry_s']:>9.2f}s "
             f"{obs['enabled_overhead']:>11.1%}",
         ]
-    if "batch_16seed" in payload:
-        batch = payload["batch_16seed"]
-        reps = batch["replications"]
+    if "cohort_16seed" in payload:
+        cohort = payload["cohort_16seed"]
+        reps = cohort["replications"]
         lines += [
             "",
-            f"{f'{reps}-seed arm, sequential fast':<34} "
-            f"{batch['sequential_fast_s']:>9.2f}s "
-            f"{batch['sequential_slots_per_s']:>12,.0f}",
-            f"{f'{reps}-seed arm, batched lanes':<34} "
-            f"{batch['batched_s']:>9.2f}s "
-            f"{batch['batched_slots_per_s']:>12,.0f}",
-            f"{'batched replication speedup':<34} {batch['speedup']:>9.1f}x",
+            f"{f'{reps}-seed arm, fast kernel':<34} "
+            f"{cohort['fast_s']:>9.2f}s "
+            f"{cohort['fast_slots_per_s']:>12,.0f}",
+            f"{f'{reps}-seed arm, default engine':<34} "
+            f"{cohort['engine_s']:>9.2f}s "
+            f"{cohort['engine_slots_per_s']:>12,.0f}",
+            f"{'cohort speedup over fast':<34} {cohort['speedup']:>9.1f}x",
         ]
     if "compiled" in payload:
         comp = payload["compiled"]
@@ -808,10 +802,10 @@ def render_table(payload: dict) -> str:
         if "fast_sequential" in e2e:
             seq = e2e["fast_sequential"]
             lines += [
-                f"{'figure-7 cell sweep, fast no-batch':<34} "
+                f"{'figure-7 cell sweep, fast inline':<34} "
                 f"{seq['elapsed_s']:>9.2f}s",
-                f"{'batching speedup over PR 2 path':<34} "
-                f"{e2e['batch_speedup']:>9.1f}x",
+                f"{'parallel speedup over inline':<34} "
+                f"{e2e['parallel_speedup']:>9.1f}x",
             ]
     return "\n".join(lines)
 

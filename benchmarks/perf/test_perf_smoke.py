@@ -6,9 +6,9 @@ Asserts, on a tiny grid:
   the reference loop stays above a pinned floor (the regression gate —
   a change that quietly loses the fast-forward or closed-form shortcuts
   fails CI, not just a local benchmark run);
-* the batched replication kernel matches the sequential fast kernel bit
-  for bit on the full-size 16-seed acceptance arm (parity is re-checked
-  on every timed round) and actually amortises per-run overhead;
+* a 16-seed cohort run as one sweep on the default engine matches the
+  fast kernel bit for bit on the full-size acceptance arm (parity is
+  re-checked on every timed round) and beats it by the pinned floor;
 * the compiled backend matches the fast kernel bit for bit on the
   full-size Figure-7 arm and holds the ISSUE 7 ≥10x floor — with or
   without numba (the pure-NumPy fallback carries the same gate, so the
@@ -36,12 +36,12 @@ only).
 from .harness import PerfConfig, run_benchmarks, write_artifacts
 
 #: Pinned regression floors.  The fast kernel measures >20x on the smoke
-#: cell and the batched lanes ~5.5x on the acceptance arm, so these
-#: floors keep margin for CI-runner noise while still catching a lost
-#: optimisation (losing the sprint or a closed form costs integer
-#: factors, not percents).
+#: cell and the default engine ~5.8x over the fast kernel on the 16-seed
+#: acceptance arm, so these floors keep margin for CI-runner noise while
+#: still catching a lost optimisation (losing the sprint or a closed
+#: form costs integer factors, not percents).
 KERNEL_SPEEDUP_FLOOR = 15.0
-BATCH_SPEEDUP_FLOOR = 4.5
+COHORT_SPEEDUP_FLOOR = 4.5
 #: ISSUE 7 acceptance: the compiled backend measures ~12.5x over the
 #: fast kernel on the full Figure-7 arm even on the interpreted NumPy
 #: fallback (the jitted walk only widens the gap), so 10x is the
@@ -70,13 +70,13 @@ SEQUENTIAL_LANE_REDUCTION_FLOOR = 2.5
 CRN_VARIANCE_RATIO_CEILING = 0.9
 
 
-def test_fast_kernel_and_batch_gates():
+def test_fast_kernel_and_cohort_gates():
     config = PerfConfig().scaled(1 / 25)  # 6k + 0.8k slots: seconds, not minutes
     payload = run_benchmarks(config, mode="smoke", end_to_end=False)
     write_artifacts(payload)
 
     # run_benchmarks already asserted kernel bit-identity and per-round
-    # batched parity; these are the speed gates on top.
+    # cohort parity; these are the speed gates on top.
     kernel = payload["kernel"]
     assert kernel["speedup"] >= KERNEL_SPEEDUP_FLOOR, (
         f"fast-kernel speedup regressed: {kernel['speedup']:.1f}x "
@@ -84,11 +84,11 @@ def test_fast_kernel_and_batch_gates():
     )
     assert kernel["fast"]["slots_per_s"] > kernel["slow"]["slots_per_s"]
 
-    batch = payload["batch_16seed"]
-    assert batch["speedup"] >= BATCH_SPEEDUP_FLOOR, (
-        f"batched replication speedup regressed: {batch['speedup']:.1f}x "
-        f"on the {batch['replications']}-seed arm "
-        f"(floor {BATCH_SPEEDUP_FLOOR:g}x)"
+    cohort = payload["cohort_16seed"]
+    assert cohort["speedup"] >= COHORT_SPEEDUP_FLOOR, (
+        f"default-engine cohort speedup regressed: {cohort['speedup']:.1f}x "
+        f"over the fast kernel on the {cohort['replications']}-seed arm "
+        f"(floor {COHORT_SPEEDUP_FLOOR:g}x)"
     )
 
     # Compiled backend: parity was asserted per timed round inside

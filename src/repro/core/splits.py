@@ -2,8 +2,8 @@
 
 Every kernel that resolves collisions — the reference loop's
 :class:`~repro.core.window.WindowingProcess`, the fast kernel
-(:mod:`repro.mac.fastpath`), the batched lanes (:mod:`repro.mac.batch`)
-and the compiled backend (:mod:`repro.mac.kernels`) — splits a colliding
+(:mod:`repro.mac.fastpath`) and the compiled backend
+(:mod:`repro.mac.kernels`) — splits a colliding
 span into ``arity`` equal-measure parts and examines them in the
 policy's order.  Those two decisions are the protocol's split semantics,
 and they live *here* and nowhere else: :func:`split_parts` carves the

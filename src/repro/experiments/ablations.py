@@ -67,7 +67,7 @@ def _spec(
 
 
 def _arms_from(
-    labels, specs, workers, resilience=None, metrics=None, batch=True,
+    labels, specs, workers, resilience=None, metrics=None,
     sequential: Optional[SequentialOptions] = None,
 ) -> "List[AblationArm]":
     """Run the arm specs through the sweep executor and wrap the losses.
@@ -81,7 +81,7 @@ def _arms_from(
     derivation; CRN pairs the arms unit-for-unit) and the arm's stderr
     renders the realized CI half-width.
     """
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     if sequential is not None:
         base_seed = specs[0].seed if specs else 1
         with trace.span("ablation.sequential", cells=len(specs)):
@@ -122,7 +122,6 @@ def element4_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
@@ -141,7 +140,6 @@ def element4_ablation(
         workers,
         resilience,
         metrics,
-        batch,
         sequential,
     )
 
@@ -158,7 +156,6 @@ def window_length_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
@@ -188,7 +185,7 @@ def window_length_ablation(
             )
             for occupancy in occupancies
         ]
-        return _arms_from(labels, specs, workers, resilience, metrics, batch,
+        return _arms_from(labels, specs, workers, resilience, metrics,
                           sequential)
     arms = []
     for label, occupancy in zip(labels, occupancies):
@@ -208,7 +205,6 @@ def split_rule_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
@@ -229,7 +225,6 @@ def split_rule_ablation(
         workers,
         resilience,
         metrics,
-        batch,
         sequential,
     )
 
@@ -245,7 +240,6 @@ def arity_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
@@ -265,7 +259,6 @@ def arity_ablation(
         workers,
         resilience,
         metrics,
-        batch,
         sequential,
     )
 

@@ -156,7 +156,6 @@ def generate_panel(
     workers: Optional[int] = None,
     sim_fast: bool = True,
     sim_backend: Optional[str] = None,
-    batch: bool = True,
     resilience=None,
     metrics=None,
     sequential: Optional[SequentialOptions] = None,
@@ -178,16 +177,13 @@ def generate_panel(
         Fan the simulation grid over this many worker processes (None/1
         = sequential).  Results are identical for any worker count.
     sim_fast:
-        Run simulations on the fast kernel (bit-identical; ``False``
+        Run simulations on the default engine (bit-identical; ``False``
         forces the reference loop).
     sim_backend:
         Explicit kernel selection per simulation run (``"auto"``,
-        ``"reference"``, ``"fast"`` or ``"compiled"``); ``None`` keeps
-        the historical ``sim_fast`` behaviour.  All backends are
+        ``"reference"``, ``"fast"`` or ``"compiled"``); ``None`` is
+        ``"auto"``, the compiled engine.  All backends are
         bit-identical.
-    batch:
-        Group eligible grid cells into lane-parallel batched tasks
-        (bit-identical; ``False`` restores one-task-per-cell dispatch).
     resilience:
         :class:`~repro.resilience.ResilienceOptions` for the simulation
         grid: checkpoint journal, per-task timeout, retry/quarantine.
@@ -292,7 +288,7 @@ def generate_panel(
             for _, policy_factory in arms
             for deadline in sim_points
         ]
-        executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+        executor = SweepExecutor(workers, resilience, metrics=metrics)
         if sequential is not None:
             # Adaptive replication: every (arm, deadline) cell becomes a
             # sequential arm; the flat template list keeps CRN unit

@@ -259,7 +259,6 @@ def feedback_error_sweep(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> RobustnessReport:
@@ -298,7 +297,7 @@ def feedback_error_sweep(
             for error_rate in error_rates
         ]
         executor = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
+            workers, resilience, metrics=metrics
         )
         with trace.span(
             "robustness.feedback_errors.sequential", cells=len(cells)
@@ -341,7 +340,7 @@ def feedback_error_sweep(
         for error_rate in error_rates
         for i in range(config.n_seeds)
     ]
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     with trace.span("robustness.feedback_errors", cells=len(specs)):
         results = executor.run_specs(specs)
     for row, error_rate in enumerate(error_rates):
@@ -488,17 +487,17 @@ def protocol_degradation_sweep(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> DegradationReport:
     """Fraction-late vs feedback error rate, per Figure-7 protocol.
 
     Drives the *common-mode* feedback-error family
-    (:class:`~repro.faults.FeedbackFaultModel`), so every cell — faulted
-    or not — executes on the fast kernel (``repro robustness
-    --feedback-errors`` is a full-speed sweep; the perf harness holds it
-    to the kernel speedup floor).  Zero-rate cells carry no fault model
+    (:class:`~repro.faults.FeedbackFaultModel`), so every cell runs on a
+    fast engine — faulted cells on the faulted fast kernel, clean cells
+    on the compiled one (``repro robustness --feedback-errors`` is a
+    full-speed sweep; the perf harness holds it to the kernel speedup
+    floor).  Zero-rate cells carry no fault model
     at all and reproduce today's clean kernels bit for bit.
 
     Every (protocol, rate) cell replays the same ``n_seeds`` traffic
@@ -546,7 +545,7 @@ def protocol_degradation_sweep(
             for error_rate in error_rates
         ]
         executor = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
+            workers, resilience, metrics=metrics
         )
         with trace.span(
             "robustness.protocol_degradation.sequential",
@@ -599,7 +598,7 @@ def protocol_degradation_sweep(
         for error_rate in error_rates
         for i in range(config.n_seeds)
     ]
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     with trace.span(
         "robustness.protocol_degradation",
         cells=len(specs),
@@ -636,7 +635,6 @@ def station_failure_scenario(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
 ) -> List[MACSimResult]:
     """Crash/restart + deafness soak at the standard operating point.
@@ -661,5 +659,5 @@ def station_failure_scenario(
     ]
     with trace.span("robustness.station_failures", cells=len(specs)):
         return SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
+            workers, resilience, metrics=metrics
         ).run_specs(specs)

@@ -62,12 +62,11 @@ def _arms(label_format, parameters, results) -> List[AblationArm]:
 
 
 def _sequential_arms(
-    label_format, parameters, specs, workers, resilience, metrics, batch,
-    sequential,
+    label_format, parameters, specs, workers, resilience, metrics, sequential,
 ) -> List[AblationArm]:
     """Adaptive-replication variant of the sweep-then-wrap pattern."""
     labels = [label_format.format(parameter) for parameter in parameters]
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     base_seed = specs[0].seed if specs else 1
     estimates = run_sequential(
         list(zip(labels, specs)), sequential, executor, base_seed=base_seed
@@ -93,7 +92,6 @@ def station_count_sensitivity(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
@@ -117,11 +115,11 @@ def station_count_sensitivity(
         with trace.span("sensitivity.stations", cells=len(specs)):
             return _sequential_arms(
                 "{0} stations", station_counts, specs, workers, resilience,
-                metrics, batch, sequential,
+                metrics, sequential,
             )
     with trace.span("sensitivity.stations", cells=len(specs)):
         results = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
+            workers, resilience, metrics=metrics
         ).run_specs(specs)
     return _arms("{0} stations", station_counts, results)
 
@@ -138,7 +136,6 @@ def burstiness_sensitivity(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
     backend: Optional[str] = None,
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
@@ -182,11 +179,11 @@ def burstiness_sensitivity(
         with trace.span("sensitivity.burstiness", cells=len(specs)):
             return _sequential_arms(
                 "peak/mean {0:g}", burst_ratios, specs, workers, resilience,
-                metrics, batch, sequential,
+                metrics, sequential,
             )
     with trace.span("sensitivity.burstiness", cells=len(specs)):
         results = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
+            workers, resilience, metrics=metrics
         ).run_specs(specs)
     return _arms("peak/mean {0:g}", burst_ratios, results)
 

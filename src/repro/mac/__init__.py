@@ -11,6 +11,9 @@ from .channel import ChannelStats, SlottedChannel
 from .des_simulator import DESWindowMACSimulator
 from .messages import Message, MessageFate
 from .simulator import MACSimResult, WindowMACSimulator
+# The default engine loads with the package, not inside a run's first
+# call; it imports the simulator module, so it must come after it.
+from .kernels import compiled as _engine  # noqa: F401
 from .station import Station, StationRegistry
 from .tdma import TDMAResult, TDMASimulator, tdma_loss_probability
 

@@ -38,9 +38,8 @@ rescanning the global backlog.
 
 The decision-epoch body, the fast-forward shortcut, the policy traits
 and the accumulators live in :mod:`repro.mac.kernels.primitives`, shared
-with the batched lane-parallel kernel (:mod:`repro.mac.batch`) and the
-compiled backend (:mod:`repro.mac.kernels.compiled`), so every kernel
-executes literally the same epoch code.  Instrumentation is buffered per
+with the compiled backend (:mod:`repro.mac.kernels.compiled`), so the
+kernels execute the same protocol code.  Instrumentation is buffered per
 run (:class:`~repro.mac.kernels.primitives.ObsBuffers`) and flushed into
 the registry once at the end — the hot loop never touches a metric
 object.

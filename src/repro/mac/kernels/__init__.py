@@ -1,15 +1,14 @@
 """Shared kernel primitives for the MAC simulation back ends.
 
-Four kernels execute the window protocol:
+Three kernels execute the window protocol:
 
 * the **reference loop** (:meth:`repro.mac.simulator.WindowMACSimulator._run_shared`),
-* the **fast kernel** (:mod:`repro.mac.fastpath`),
-* the **batched lanes** (:mod:`repro.mac.batch`), and
-* the **compiled backend** (:mod:`repro.mac.kernels.compiled`, selected
-  with ``backend="compiled"`` / ``--backend compiled``).
+* the **fast kernel** (:mod:`repro.mac.fastpath`, with its faulted twin
+  :mod:`repro.mac.kernels.faults`), and
+* the **compiled backend** (:mod:`repro.mac.kernels.compiled`), the
+  default engine (``backend=None``/``"auto"``).
 
-They used to carry three private copies of the protocol's policy
-decisions; this package is the single home for everything they share:
+This package is the single home for everything they share:
 
 ``primitives``
     Policy traits (:class:`~repro.mac.kernels.primitives.KernelTraits`),
@@ -19,8 +18,7 @@ decisions; this package is the single home for everything they share:
     state machine consumes them too).
 ``lane``
     The lane state machine — one independent run advanced in fused
-    rounds — shared by the batched kernel (R lanes in lockstep) and the
-    compiled backend (one lane, flat epochs).
+    rounds — that the compiled backend drives.
 ``engine``
     The flat struct-of-arrays engine: interval-set and span arithmetic
     on plain float pairs (bit-identical to

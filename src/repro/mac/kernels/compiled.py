@@ -1,8 +1,8 @@
 """The compiled backend: jitted hot loops with a pure-NumPy fallback.
 
-Selected with ``backend="compiled"`` on
-:class:`~repro.mac.simulator.WindowMACSimulator` (or ``--backend
-compiled`` on the CLI).  The backend drives a single
+The default engine of :class:`~repro.mac.simulator.WindowMACSimulator`
+(``backend=None``/``"auto"``; ``--backend compiled`` names it
+explicitly on the CLI).  The backend drives a single
 :class:`~repro.mac.kernels.engine.FlatLane` — the struct-of-arrays
 engine whose GEN epochs run on flat float columns — and, when ``numba``
 is importable, swaps the steady-state sprint walk for an ``@njit`` twin
@@ -28,8 +28,9 @@ window scales, a canonical position rule (the flat window selection
 replicates exactly the three shipped rules), a standard loss
 definition, no sub-slot discard deadline, and invariant-checking off
 (chaos runs keep the reference kernel whose guards are calibrated for
-it).  Ineligible runs fall back to the fast kernel (or further down its
-own fallback chain) with a one-time logged notice.
+it).  Ineligible runs step down to the fast kernel (or further down its
+own chain): silently under ``auto``, with a one-time logged notice when
+``backend="compiled"`` was asked for by name.
 """
 
 from __future__ import annotations
@@ -199,9 +200,8 @@ def run_compiled(
     ``sim._arrival_rng`` first (the workload substream under
     ``RandomStreams``, ``sim.rng`` itself on plain seeds), then policy
     draws (random placement / random split) from ``sim.rng`` as epochs
-    execute.  Unlike the batched kernel this uses the simulator's own
-    generator objects, so seeded *and* stream-based runs stay
-    bit-identical.
+    execute.  It uses the simulator's own generator objects, so seeded
+    *and* stream-based runs stay bit-identical.
 
     ``scored_messages`` is not materialised on this backend (nothing in
     the tree consumes it after a compiled run; the fast kernel remains

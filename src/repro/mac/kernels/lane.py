@@ -1,20 +1,46 @@
 """The lane state machine: one independent run advanced in fused rounds.
 
-A *lane* is one simulator run reduced to struct-of-arrays form — the
-machinery the batched replication kernel (:mod:`repro.mac.batch`)
-introduced, extracted here so the compiled backend
-(:mod:`repro.mac.kernels.compiled`) can drive a single lane through the
-same code.  See the batch module's docstring for the VEC/GEN mode
-design and the bit-parity argument; every method body here is that
-kernel's, verbatim.
+A *lane* is one simulator run reduced to plain Python scalars plus
+NumPy tables on the long axes (arrival generation, the steady-state
+sprint tables).  The compiled backend (:mod:`repro.mac.kernels.compiled`)
+drives one lane per run through :class:`~repro.mac.kernels.engine.FlatLane`,
+the subclass that supplies the GEN mode below (``_materialize``,
+``gen_step``, ``_gen_epoch``).
+
+How a lane runs
+---------------
+A lane is in one of two modes:
+
+**VEC** — the lane's unresolved pseudo-time set is *empty*, so its
+controller state is fully described by one scalar (the frontier F).
+Everything the reference kernel would do from that state has a provable
+closed form that consumes **zero RNG draws**:
+
+* the idle fast-forward jump (same arithmetic as the sequential
+  kernel's);
+* a decision epoch whose initial window covers the whole unresolved
+  span ``[max(F, now−K), now)`` — the window then admits the lane's
+  in-window backlog verbatim (no placement slack, so even RANDOM draws
+  nothing), and a 0- or 1-message backlog resolves in a single idle or
+  success examination whose state/score updates are explicit.
+
+**GEN** — any other situation (≥2 in-window messages, a window shorter
+than the span, an exotic length rule).  The lane enters GEN at
+``(∅, F)`` — exactly the reference kernel's state at that point — and
+runs the reference epoch with the lane's own generator until the
+unresolved set empties again, when it snaps back to VEC.
+
+Because the VEC closed forms replicate the reference kernel's float
+arithmetic operation for operation (clamp = ``max``, measure = one
+subtraction, the same Welford mean update per event) and consume no
+randomness, and GEN epochs reproduce the reference epoch, a lane's
+:class:`~repro.mac.simulator.MACSimResult` is **bit-identical** to the
+reference loop's.
 
 :class:`LaneState` takes its run description as explicit parameters
-(policy, generator, arrival arrays, horizon) rather than a
-:class:`~repro.experiments.sweep.MACRunSpec`, so a caller may hand it a
+(policy, generator, arrival arrays, horizon), so a caller may hand it a
 generator that already produced the arrival draws — exactly what the
-compiled backend does with the simulator's own ``rng``.  The batched
-kernel's ``_Lane`` subclass reconstructs generator and arrivals from a
-spec, reproducing the historical construction bit for bit.
+compiled backend does with the simulator's own ``rng``.
 """
 
 from __future__ import annotations
@@ -26,7 +52,6 @@ from typing import List, Optional
 import numpy as np
 
 from ...core.controller import ProtocolController
-from ...core.timeline import IntervalSet
 from ...obs.metrics import MetricsRegistry
 from ..channel import ChannelStats
 from ..simulator import MACSimResult, flush_result_metrics
@@ -36,12 +61,10 @@ from .primitives import (
     ON_TIME,
     EpochContext,
     ObsBuffers,
-    execute_epoch,
     kernel_traits,
-    try_fast_forward,
 )
 
-__all__ = ["LaneState", "LaneWaits", "drive"]
+__all__ = ["LaneState", "LaneWaits"]
 
 _EPS = 1e-12
 
@@ -72,8 +95,11 @@ class LaneWaits:
 
 class LaneState:
     """One run: its arm scalars, backlog, RNG, and the per-round hot
-    state the round loop reads (plain Python floats/ints — see the
-    batch module docstring for why these are not NumPy cells)."""
+    state the round loop reads (plain Python floats/ints: a scalar
+    attribute update is far cheaper than a NumPy per-op dispatch).
+
+    Subclasses supply the GEN mode: ``_materialize(frontier)``,
+    ``gen_step(now)`` and ``_gen_epoch(now)``."""
 
     __slots__ = (
         "policy",
@@ -290,8 +316,8 @@ class LaneState:
         (any failed condition defers the lane, untouched, to the
         phased round), then walks the precomputed isolation mask:
         per event only the Welford updates are inherently sequential,
-        and plain float arithmetic on ~16-wide problems beats NumPy's
-        per-op dispatch by a wide margin.  Every accumulator update is
+        and plain float arithmetic beats NumPy's per-op dispatch by a
+        wide margin.  Every accumulator update is
         an exact integer-valued float sum, so batching them locally and
         storing once is bit-identical to the per-event stores.
         """
@@ -370,7 +396,7 @@ class LaneState:
         p += 1
         if ob is None:
             # The tight loop, with the instrumentation branch hoisted
-            # out entirely — this is where batched runs spend their time.
+            # out entirely — this is where steady-state runs spend their time.
             p, prev_now, last_fr, idle_d, tx_d, wc, wt, wp, ot_d, lt_d, nm_d = (
                 self._sprint_walk(
                     arrl, cl, tl, iso, p, n, prev_now, last_fr,
@@ -554,41 +580,6 @@ class LaneState:
             del backlog_t[:cut]
             del backlog_i[:cut]
 
-    def _materialize(self, frontier: float) -> None:
-        """Rebuild the real controller at the lane's VEC state (∅, F)."""
-        controller = self.controller
-        controller.unresolved = IntervalSet()
-        controller.frontier = frontier
-        self.vec = False
-
-    def _gen_epoch(self, now_f: float) -> None:
-        """One reference epoch on the real controller (shared code)."""
-        (
-            now2,
-            idle_d,
-            coll_d,
-            tx_d,
-            wait_d,
-            on_time_d,
-            late_d,
-            discarded_d,
-        ) = execute_epoch(self.ctx, now_f)
-        self.idle += idle_d
-        self.coll += coll_d
-        self.tx += tx_d
-        self.wait += wait_d
-        self.now = now2
-        if on_time_d:
-            self.on_time += on_time_d
-        if late_d:
-            self.late += late_d
-        if discarded_d:
-            self.disc += discarded_d
-        controller = self.controller
-        if self.traits.closed_form and controller.unresolved.is_empty():
-            self.vec = True
-            self.frontier = controller.frontier
-
     def vec_epoch(self, now_f: float) -> None:
         """One decision epoch from the closed-form state (∅, F).
 
@@ -670,33 +661,6 @@ class LaneState:
                 self.on_time += 1
             ctx.waits.observe(true_value, paper_value)
 
-    def gen_step(self, now_f: float) -> None:
-        """One post-ingest iteration on the real controller."""
-        traits = self.traits
-        if not self.backlog_t and traits.entry_discard_ok:
-            skipped = try_fast_forward(
-                self.controller,
-                self.policy,
-                traits,
-                now_f,
-                self.upcoming,
-                self.total_time,
-                False,
-            )
-            if skipped:
-                self.idle += skipped
-                self.now = now_f + skipped
-                self.frontier = self.controller.frontier
-                self.vec = traits.closed_form
-                if self.ob is not None:
-                    self.ob.ff_skips.append(skipped)
-                return
-        ob = self.ob
-        if ob is not None:
-            ob.epochs += 1
-            ob.backlog_sizes.append(len(self.backlog_t))
-        self._gen_epoch(now_f)
-
     def succ_epoch(self, now_f: float, meas: float) -> None:
         """Single-message SUCCESS epoch, the steady state of the rounds.
 
@@ -751,8 +715,7 @@ class LaneState:
         if the jump landed on an arrival; then one decision epoch (the
         inlined single-success form when its preconditions hold, else
         the general dispatch).  That is one or more iterations of the
-        sequential kernel's loop — batching only reschedules work
-        across lanes, never reorders a lane's own event sequence.
+        sequential kernel's loop, in the same event order.
         """
         now = self.now
         tot = self.total_time
@@ -851,16 +814,3 @@ class LaneState:
             flush_result_metrics(self.registry, result)
         return result
 
-
-def drive(lanes: List[LaneState]) -> None:
-    """Drive all lanes to their horizons, one fused round per pass.
-
-    Each round advances every live lane once (see
-    :meth:`LaneState.advance_round`); lanes that reach their horizon
-    drop out of the live list.  Lanes are independent state machines, so
-    the lockstep schedule affects only interpreter locality, never
-    results.
-    """
-    live = [lane for lane in lanes if lane.now < lane.total_time]
-    while live:
-        live = [lane for lane in live if lane.advance_round()]

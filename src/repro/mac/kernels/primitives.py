@@ -2,8 +2,8 @@
 
 The decision-epoch body, the idle fast-forward shortcut, the policy
 trait derivation, the wait/instrumentation accumulators and the fate
-codes all live here — one implementation, four consumers (reference
-loop, fast kernel, batched lanes, compiled backend).  The split rules of
+codes all live here — one implementation, three consumers (reference
+loop, fast kernel, compiled backend).  The split rules of
 policy element 3 are re-exported from :mod:`repro.core.splits`, where
 the reference :class:`~repro.core.window.WindowingProcess` takes them
 from as well, so no kernel carries private split logic.
@@ -94,8 +94,8 @@ class KernelTraits:
     def closed_form(self) -> bool:
         """Whether the window length is computable without the policy object.
 
-        The batched kernel's vectorised lanes require this; exotic
-        length rules fall back to stepping the real controller.
+        The lane engine's closed-form (VEC) mode requires this; exotic
+        length rules run every epoch in GEN mode.
         """
         return self.covers_backlog or self.const_length is not None
 
@@ -248,9 +248,9 @@ def try_fast_forward(
 class EpochContext:
     """Run-constant state threaded through :func:`execute_epoch`.
 
-    One instance per run (or per batched lane); the epoch helper reads
-    everything through it so the sequential, batched and compiled
-    kernels share the same epoch code verbatim.
+    One instance per run; the epoch helper reads everything through it
+    so the fast kernels share the same epoch code verbatim, and the
+    compiled backend's flat epoch scores into the same buffers.
     """
 
     __slots__ = (
@@ -316,7 +316,7 @@ def execute_epoch(ctx: EpochContext, now: float):
     discarded)``: the advanced clock plus this epoch's deltas.  All slot
     deltas are integral-valued floats and all count deltas are ints, so
     the caller's accumulation is bit-exact regardless of how epochs are
-    grouped — the property the batched kernel relies on.
+    grouped.
     """
     controller = ctx.controller
     backlog_t = ctx.backlog_t

@@ -224,12 +224,12 @@ class WindowMACSimulator:
         ``"true"`` (the paper's simulation convention, default) or
         ``"paper"`` (the analysis convention).
     fast:
-        Use the fast kernel (:mod:`repro.mac.fastpath`) when the run is
-        eligible.  The kernel is bit-identical to the reference loop —
-        same RNG draw order, same float arithmetic — and disables itself
-        automatically for fault-injected runs and §5 priority stations.
-        ``fast=False`` forces the reference loop (the escape hatch and
-        the benchmark baseline).
+        Use the engine (the compiled backend, else the fast kernel
+        :mod:`repro.mac.fastpath`) when the run is eligible.  Both are
+        bit-identical to the reference loop — same RNG draw order, same
+        float arithmetic — and step aside automatically for the runs
+        they cannot reproduce.  ``fast=False`` forces the reference loop
+        (the escape hatch and the benchmark baseline).
     backend:
         Explicit kernel selector overriding ``fast``: ``"reference"``
         forces the reference loop, ``"fast"`` the fast kernel (when
@@ -237,9 +237,11 @@ class WindowMACSimulator:
         (:mod:`repro.mac.kernels.compiled` — jitted hot loops when
         ``numba`` is importable, the pure-NumPy struct-of-arrays
         fallback otherwise; bit-identical either way).  ``None`` /
-        ``"auto"`` keeps the historical ``fast`` dispatch.  An
-        ineligible run falls down the chain (compiled → fast →
-        reference) with a one-time logged notice.
+        ``"auto"`` (the default) selects the compiled backend and steps
+        down the chain (compiled → fast → reference) silently when a run
+        is ineligible; ``fast=False`` makes it the reference loop.  A
+        backend requested by name falls down the same chain with a
+        one-time logged notice and a ``kernel.fallbacks`` count.
     seed / streams:
         Randomness source.  A :class:`~repro.des.rng.RandomStreams`
         family (when given) supersedes ``seed`` and draws traffic and
@@ -428,21 +430,22 @@ class WindowMACSimulator:
                 "failure domains"
             )
         backend = self.backend
-        if backend == "reference":
+        named = backend in ("fast", "compiled")
+        if backend == "reference" or not (named or self.fast):
             return self._run_reference(total_time, warmup_slots)
-        if backend == "compiled":
+        if backend != "fast":
             from .kernels import compiled
 
             if compiled.compiled_eligible(self):
                 return compiled.run_compiled(self, total_time, warmup_slots)
-            self._note_fallback("compiled", "compiled_eligible")
-        if backend in ("fast", "compiled") or (
-            (backend is None or backend == "auto") and self.fast
-        ):
-            if fastpath.fast_path_available(self):
-                return fastpath.run_fast(self, total_time, warmup_slots)
-            if backend in ("fast", "compiled"):
-                self._note_fallback(backend, "fast_path_available")
+            # ``auto`` steps down silently: only a backend the caller
+            # asked for by name counts as a fallback.
+            if named:
+                self._note_fallback("compiled", "compiled_eligible")
+        if fastpath.fast_path_available(self):
+            return fastpath.run_fast(self, total_time, warmup_slots)
+        if named:
+            self._note_fallback(backend, "fast_path_available")
         return self._run_reference(total_time, warmup_slots)
 
     def _run_reference(self, total_time: float, warmup_slots: float) -> MACSimResult:

@@ -37,12 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..experiments.sweep import (
-    DEFAULT_BATCH_CHUNK,
-    MACRunSpec,
-    plan_shards,
-    spec_fingerprint,
-)
+from ..experiments.sweep import MACRunSpec, plan_shards, spec_fingerprint
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NullTracer
 from ..resilience import RunJournal
@@ -70,6 +65,10 @@ __all__ = ["ServiceConfig", "SweepService", "ServiceThread", "serve"]
 #: Name of the results layout written under ``<state>/results/``.
 RESULTS_SCHEMA = "repro-service-results-v1"
 
+#: Default cells per dispatch shard: one arm's seed cohort at the grid
+#: sizes the service runs, while leaving shards to spread over slots.
+DEFAULT_SHARD_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -87,7 +86,7 @@ class ServiceConfig:
     #: dead and re-dispatched.
     lease_ttl: float = 30.0
     #: Cells per dispatch shard (arm-grouped; see ``plan_shards``).
-    shard_size: int = DEFAULT_BATCH_CHUNK
+    shard_size: int = DEFAULT_SHARD_SIZE
     #: Concurrent in-flight shards.
     backend_slots: int = 2
     #: Worker processes per shard sweep (None = inline).
@@ -96,7 +95,6 @@ class ServiceConfig:
     task_timeout: Optional[float] = None
     #: Per-cell retry budget inside a shard (then quarantine).
     max_retries: int = 2
-    batch: bool = True
     #: Scheduler tick in seconds (lease expiry + dispatch cadence).
     poll_interval: float = 0.05
 
@@ -146,7 +144,6 @@ class SweepService:
             sweep_workers=config.sweep_workers,
             task_timeout=config.task_timeout,
             max_retries=config.max_retries,
-            batch=config.batch,
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry(False)
         self.tracer = tracer if tracer is not None else NullTracer()

@@ -1,7 +1,7 @@
 """Determinism and contracts of the sequential replication engine.
 
 :func:`run_sequential` is a scheduling layer over the executor: lanes
-run in batched waves until the group-sequential look says stop.  The
+run in waves until the group-sequential look says stop.  The
 properties pinned here are exact — worker-count invariance, CRN seed
 sharing, journaled stopping decisions, quarantine unit-poisoning —
 because the stopping decision is a pure function of the journaled lane
@@ -73,12 +73,18 @@ class TestDeterminism:
         assert inline == fanned
 
     def test_batch_flag_invariant(self):
-        batched = run_sequential(
-            _arms(), _options(), SweepExecutor(None, batch=True)
-        )
-        unbatched = run_sequential(
-            _arms(), _options(), SweepExecutor(None, batch=False)
-        )
+        # Each wave reaches the executor as one batch of lane specs;
+        # splitting it into one call per lane changes nothing.
+        class OneAtATime(SweepExecutor):
+            def run_specs(self, specs):
+                return [
+                    result
+                    for spec in specs
+                    for result in SweepExecutor.run_specs(self, [spec])
+                ]
+
+        batched = run_sequential(_arms(), _options(), SweepExecutor(None))
+        unbatched = run_sequential(_arms(), _options(), OneAtATime(None))
         assert batched == unbatched
 
     def test_rerun_is_bit_identical(self):
@@ -158,7 +164,6 @@ class TestJournalReplay:
                     resume=True,
                     verify_replay=True,
                 ),
-                batch=False,  # verify-replay audits recompute per cell
             ),
         )
         assert first == resumed
@@ -235,7 +240,6 @@ class TestJournalReplay:
                     resume=True,
                     verify_replay=True,
                 ),
-                batch=False,
             ),
             base_seed=2,
         )

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments import (
     DEFAULT_AGREEMENT_TOL,
     SCENARIO_FAMILIES,
+    SweepExecutor,
     ValidityConfig,
     run_validity,
     scenario_workload,
@@ -76,11 +77,18 @@ class TestRunValidity:
         # on this short horizon.
         assert abs(report.cells[1].delta) > abs(report.cells[0].delta)
 
-    def test_batched_and_unbatched_sweeps_agree(self):
-        batched = run_validity(SMALL, batch=True)
-        unbatched = run_validity(SMALL, batch=False)
-        for left, right in zip(batched.cells, unbatched.cells):
-            assert left == right
+    def test_batched_and_unbatched_sweeps_agree(self, monkeypatch):
+        # The grid reaches the executor as one batch of specs; running
+        # it one spec per call gives the same cells.
+        batched = run_validity(SMALL)
+        run_specs = SweepExecutor.run_specs
+
+        def one_at_a_time(self, specs):
+            return [r for spec in specs for r in run_specs(self, [spec])]
+
+        monkeypatch.setattr(SweepExecutor, "run_specs", one_at_a_time)
+        unbatched = run_validity(SMALL)
+        assert unbatched.cells == batched.cells
 
     def test_family_summaries_and_tables(self):
         report = run_validity(SMALL)

@@ -3,16 +3,17 @@
 The ISSUE 10 contract: flipping ``MACRunSpec.antithetic`` wraps the
 simulator's generator in the uniform-mirroring twin at the same
 pre-draw point on every backend, so the reference loop, the fast
-kernel, the batched lane kernel and the compiled walk all produce the
-**same** mirrored result — bit for bit — and a mirrored lane genuinely
+kernel and the compiled walk (named, or as the default engine of a
+sweep) all produce the **same** mirrored result — bit for bit — and a mirrored lane genuinely
 differs from its plain twin (it is a second sample path, not a replay).
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core import ControlPolicy
-from repro.experiments.sweep import MACRunSpec, run_spec
-from repro.mac.batch import run_batch
+from repro.experiments.sweep import MACRunSpec, SweepExecutor, run_spec
 
 M = 25
 LAM = 0.5 / M
@@ -45,13 +46,13 @@ def _spec(name: str, **overrides) -> MACRunSpec:
 class TestAntitheticParity:
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_all_backends_agree_on_the_mirrored_lane(self, name):
-        fast = run_spec(_spec(name))
+        fast = run_spec(_spec(name, backend="fast"))
         reference = run_spec(_spec(name, fast=False))
         compiled = run_spec(_spec(name, backend="compiled"))
-        [batched] = run_batch([_spec(name)])
+        [engine] = SweepExecutor(None).run_specs([_spec(name)])
         assert fast == reference
         assert fast == compiled
-        assert fast == batched
+        assert fast == engine
 
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_mirrored_lane_differs_from_plain(self, name):
@@ -63,15 +64,18 @@ class TestAntitheticParity:
         assert run_spec(_spec("optimal")) == run_spec(_spec("optimal"))
 
     def test_mixed_plain_and_mirrored_lanes_in_one_cohort(self):
-        # The batch kernel wraps per lane, so a CRN pair (plain,
-        # mirrored) in one cohort matches the per-run path lane by lane.
+        # Each run wraps its own generator, so a CRN pair (plain,
+        # mirrored) in one sweep batch matches the reference loop run
+        # by run.
         specs = [
             _spec("optimal", antithetic=False),
             _spec("optimal"),
             _spec("uncontrolled_fcfs", antithetic=False),
             _spec("uncontrolled_fcfs"),
         ]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        assert SweepExecutor(None).run_specs(specs) == [
+            run_spec(replace(s, backend="reference")) for s in specs
+        ]
 
     def test_stream_seed_construction_also_mirrors(self):
         # The RandomStreams construction (robustness sweeps) honours

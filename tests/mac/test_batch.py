@@ -1,15 +1,16 @@
-"""Bit-parity of the batched replication kernel.
+"""Bit-parity of seed cohorts run as one batch on the default engine.
 
-The contract under test (the tentpole of ISSUE 5): ``run_batch(specs)``
-is **field-for-field identical** to ``[run_spec(s) for s in specs]``
-for every spec — eligible specs ride the lane-parallel kernel, the rest
-fall back transparently — and the sequential fast kernel is itself
-bit-identical to the reference loop (the PR 2 guarantee), so all three
-execution paths are pinned against each other here.  Grids are tiny:
+A sweep hands its whole spec list to :meth:`SweepExecutor.run_specs`,
+which runs every member on the simulator's default engine (the compiled
+backend, stepping down for runs it cannot reproduce).  The contract
+under test: each member of such a batch is **field-for-field identical**
+to the fast kernel and to the reference loop run on that spec alone, in
+spec order, for eligible and ineligible specs alike.  Grids are tiny:
 the property is exact equality, not statistics.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 from repro.core import ControlPolicy
 from repro.experiments.sweep import (
     MACRunSpec,
+    SweepExecutor,
     derive_seeds,
     run_spec,
     run_spec_with_metrics,
 )
-from repro.mac.batch import batch_eligible, run_batch, run_batch_with_metrics
+from repro.mac.kernels import compiled
 from repro.resilience import invariants
 
 M = 25
@@ -52,22 +54,42 @@ def _spec(name: str, seed: int, **overrides) -> MACRunSpec:
     return MACRunSpec(**kwargs)
 
 
+def run_cohort(specs):
+    """The cohort as a sweep runs it: one ``run_specs`` call."""
+    return SweepExecutor(None).run_specs(specs)
+
+
+def on(backend, specs):
+    """Each spec run alone on the named backend."""
+    return [run_spec(replace(s, backend=backend)) for s in specs]
+
+
+@pytest.fixture
+def compiled_calls(monkeypatch):
+    """Count the runs that reach the compiled backend."""
+    calls = []
+    real = compiled.run_compiled
+
+    def spy(sim, total_time, warmup_slots):
+        calls.append(sim)
+        return real(sim, total_time, warmup_slots)
+
+    monkeypatch.setattr(compiled, "run_compiled", spy)
+    return calls
+
+
 class TestBitParity:
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_batched_equals_sequential_fast_and_reference(self, name):
-        # All four disciplines, three seeds each: batched == fast ==
+        # All four disciplines, three seeds each: batch == fast ==
         # reference loop, field for field (the acceptance criterion).
         specs = [_spec(name, seed) for seed in (1, 7, 42)]
-        fast = [run_spec(s) for s in specs]
-        batched = run_batch(specs)
-        reference = [
-            run_spec(_spec(name, seed, fast=False)) for seed in (1, 7, 42)
-        ]
-        assert batched == fast
-        assert batched == reference
+        batched = run_cohort(specs)
+        assert batched == on("fast", specs)
+        assert batched == on("reference", specs)
 
     def test_mixed_arms_in_one_cohort(self):
-        # Heterogeneous lanes (different arms, deadlines, horizons,
+        # Heterogeneous members (different arms, deadlines, horizons,
         # loss definitions) in a single call keep spec order.
         specs = [
             _spec("optimal", 3),
@@ -76,48 +98,49 @@ class TestBitParity:
             _spec("uncontrolled_fcfs", 9, loss_definition="paper"),
             _spec("uncontrolled_random", 2, transmission_slots=1),
         ]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        assert run_cohort(specs) == on("reference", specs)
 
     def test_replicated_seeds_match_derive_seeds_loop(self):
         specs = [_spec("optimal", s) for s in derive_seeds(1, 8)]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        assert run_cohort(specs) == on("fast", specs)
 
     def test_instrumented_parity_and_registry_equality(self):
-        # The instrumented variant must reproduce both the results and
-        # the exact per-run registry state of run_spec_with_metrics —
-        # this is what makes batched sweep metrics merge-invariant.
+        # Instrumented runs reproduce both the results and the exact
+        # per-run registry state of the fast kernel — this is what
+        # makes sweep metrics independent of the engine.
         specs = [_spec(name, 11) for name in PROTOCOLS]
-        sequential = [run_spec_with_metrics(s) for s in specs]
-        batched = run_batch_with_metrics(specs)
-        for (res_a, reg_a), (res_b, reg_b) in zip(sequential, batched):
+        engine = [run_spec_with_metrics(s) for s in specs]
+        fast = [
+            run_spec_with_metrics(replace(s, backend="fast")) for s in specs
+        ]
+        for (res_a, reg_a), (res_b, reg_b) in zip(engine, fast):
             assert res_a == res_b
             assert reg_a == reg_b
 
 
 class TestEligibilityAndFallback:
-    def test_fast_false_is_ineligible_but_still_served(self):
+    def test_fast_false_is_ineligible_but_still_served(self, compiled_calls):
         spec = _spec("optimal", 1, fast=False)
-        assert not batch_eligible(spec)
-        assert run_batch([spec, spec]) == [run_spec(spec)] * 2
+        assert run_cohort([spec, spec]) == on("reference", [spec]) * 2
+        assert compiled_calls == []
 
-    def test_stream_seed_is_ineligible(self):
-        spec = _spec("optimal", 1, stream_seed=123)
-        assert not batch_eligible(spec)
-        assert run_batch([spec]) == [run_spec(spec)]
-
-    def test_invariant_mode_disables_batching(self, monkeypatch):
+    def test_invariant_mode_disables_batching(self, monkeypatch, compiled_calls):
+        # Invariant mode keeps every member on the guarded reference
+        # loop; the engine steps aside without changing a result.
         spec = _spec("optimal", 1)
-        assert batch_eligible(spec)
+        expected = on("reference", [spec])
         monkeypatch.setenv(invariants.INVARIANTS_ENV, "1")
-        assert not batch_eligible(spec)
+        assert run_cohort([spec, spec]) == expected * 2
+        assert compiled_calls == []
 
-    def test_mixed_eligibility_preserves_order(self):
+    def test_mixed_eligibility_preserves_order(self, compiled_calls):
         specs = [
             _spec("optimal", 1),
             _spec("optimal", 2, fast=False),
             _spec("uncontrolled_fcfs", 3),
         ]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        assert run_cohort(specs) == on("reference", specs)
+        assert len(compiled_calls) == 2
 
 
 # Ragged lane lifetimes: lanes with very different horizons (some dying
@@ -151,4 +174,4 @@ _spec_strategy = st.builds(
 )
 @given(specs=st.lists(_spec_strategy, min_size=1, max_size=6))
 def test_property_random_cohorts_are_bit_identical(specs):
-    assert run_batch(specs) == [run_spec(s) for s in specs]
+    assert run_cohort(specs) == on("reference", specs)

@@ -71,7 +71,7 @@ class TestBitParity:
     def test_metrics_registries_equal(self, name):
         # Instrumented runs: the compiled backend produces the same
         # registry state as the fast kernel (the instrumented-kernel
-        # contract the batch lanes already pin), and identical results.
+        # contract), and identical results.
         fast_registry = MetricsRegistry(enabled=True)
         fast = _run(name, "fast", metrics=fast_registry)
         compiled_registry = MetricsRegistry(enabled=True)
@@ -81,9 +81,8 @@ class TestBitParity:
 
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_stream_seeded_runs_match(self, name):
-        # Unlike the batched lanes, the compiled backend drives the
-        # simulator's own generator — RandomStreams construction stays
-        # bit-identical too.
+        # The compiled backend drives the simulator's own generator —
+        # RandomStreams construction stays bit-identical too.
         reference = _run(name, "reference", seed=None, streams=RandomStreams(11))
         result = _run(name, "compiled", seed=None, streams=RandomStreams(11))
         assert result == reference

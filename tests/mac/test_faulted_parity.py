@@ -30,7 +30,6 @@ from repro.core import ControlPolicy
 from repro.des.rng import RandomStreams
 from repro.faults import FaultModel, FeedbackFaultModel, RECOVERY_POLICIES
 from repro.mac import WindowMACSimulator
-from repro.mac.batch import batch_eligible
 from repro.mac.kernels.compiled import compiled_eligible
 from repro.obs.metrics import MetricsRegistry
 
@@ -209,7 +208,10 @@ class TestDispatch:
         assert not compiled_eligible(simulator)
 
     def test_batch_ineligible_under_feedback_faults(self):
-        from repro.experiments.sweep import MACRunSpec
+        # A feedback-faulted spec in a sweep batch is outside the
+        # compiled engine's reach: the default engine runs it on the
+        # faulted fast kernel without counting a fallback.
+        from repro.experiments.sweep import MACRunSpec, SweepExecutor
 
         spec = MACRunSpec(
             policy=_policy("controlled"),
@@ -217,11 +219,18 @@ class TestDispatch:
             transmission_slots=M,
             horizon=HORIZON,
             warmup=WARMUP,
+            n_stations=25,
             deadline=DEADLINE,
             seed=1,
             feedback_faults=FAULT_FAMILIES["noise"],
         )
-        assert not batch_eligible(spec)
+        metrics = MetricsRegistry()
+        [result] = SweepExecutor(None, metrics=metrics).run_specs([spec])
+        assert result == _run(
+            "controlled", backend="reference",
+            faults=FAULT_FAMILIES["noise"], seed=1,
+        )
+        assert metrics.value("kernel.fallbacks") == 0
 
     def test_spec_rejects_both_fault_layers(self):
         from repro.experiments.sweep import MACRunSpec

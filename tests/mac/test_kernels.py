@@ -1,7 +1,7 @@
 """The shared kernel primitive layer (ISSUE 7 unification).
 
 Pins the structural claim behind the tentpole: the reference loop, the
-fast kernel, and the batched lanes all *consume the same primitives* —
+fast kernel, and the compiled engine all *consume the same primitives* —
 one split implementation, one examination-order rule, one epoch
 executor, one fast-forward — so a protocol-semantics change lands in
 exactly one place.  Also holds the large-population startup guarantee:
@@ -20,8 +20,8 @@ from repro.core import ControlPolicy
 from repro.core import splits as core_splits
 from repro.core import window as core_window
 from repro.core.timeline import Span
-from repro.mac import batch, fastpath
-from repro.mac.kernels import lane, primitives
+from repro.mac import fastpath
+from repro.mac.kernels import engine, lane, primitives
 from repro.mac.simulator import WindowMACSimulator
 from repro.mac.station import StationRegistry
 from repro.resilience import invariants
@@ -44,11 +44,10 @@ class TestUnifiedPrimitives:
         assert fastpath._EpochContext is primitives.EpochContext
         assert fastpath._ObsBuffers is primitives.ObsBuffers
 
-    def test_batch_kernel_reuses_lane_machinery(self):
-        # The batched lanes are the shared LaneState driven by the
-        # shared round driver.
-        assert issubclass(batch._Lane, lane.LaneState)
-        assert batch._advance is lane.drive
+    def test_compiled_engine_reuses_lane_machinery(self):
+        # The compiled engine's flat lane is the shared LaneState with
+        # its GEN epochs on flat columns.
+        assert issubclass(engine.FlatLane, lane.LaneState)
 
     def test_examination_order_covers_all_split_rules(self):
         rng = np.random.default_rng(3)

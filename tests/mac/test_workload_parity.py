@@ -3,8 +3,8 @@
 The acceptance criterion of ISSUE 9's engine: every nonstationary
 workload — heavy-tailed (both interarrival families), diurnal,
 flash-crowd, adversarial — produces **bit-identical** results on the
-reference loop, the fast kernel, the batched lanes and the compiled
-backend, across all four protocol disciplines.  Metrics registries must
+reference loop, the fast kernel and the compiled backend (named, or as
+the default engine of a sweep), across all four protocol disciplines.  Metrics registries must
 be equal among the kernel paths (the reference loop legitimately differs
 on epoch-granularity series — the idle fast-forward elides empty epochs
 — exactly as ``tests/mac/test_obs_parity.py`` documents, so reference
@@ -16,8 +16,12 @@ import dataclasses
 import pytest
 
 from repro.core import ControlPolicy
-from repro.experiments.sweep import MACRunSpec, run_spec, run_spec_with_metrics
-from repro.mac.batch import batch_eligible, run_batch, run_batch_with_metrics
+from repro.experiments.sweep import (
+    MACRunSpec,
+    SweepExecutor,
+    run_spec,
+    run_spec_with_metrics,
+)
 from repro.workloads import (
     AdversarialWorkload,
     DiurnalWorkload,
@@ -100,17 +104,15 @@ def test_all_backends_bit_identical(workload_name, protocol):
     reference = run_spec(_spec(workload, protocol, backend="reference"))
     fast = run_spec(_spec(workload, protocol, backend="fast"))
     compiled = run_spec(_spec(workload, protocol, backend="compiled"))
-    batch_spec = _spec(workload, protocol)
-    assert batch_eligible(batch_spec)
-    (batched,) = run_batch([batch_spec])
+    (engine,) = SweepExecutor(None).run_specs([_spec(workload, protocol)])
     for field in dataclasses.fields(reference):
         name = field.name
         assert getattr(fast, name) == getattr(reference, name), f"fast.{name}"
         assert getattr(compiled, name) == getattr(reference, name), (
             f"compiled.{name}"
         )
-        assert getattr(batched, name) == getattr(reference, name), (
-            f"batch.{name}"
+        assert getattr(engine, name) == getattr(reference, name), (
+            f"engine.{name}"
         )
 
 
@@ -124,15 +126,15 @@ def test_kernel_registries_equal(workload_name, protocol):
     compiled_result, compiled_state = run_spec_with_metrics(
         _spec(workload, protocol, backend="compiled")
     )
-    ((batch_result, batch_state),) = run_batch_with_metrics(
-        [_spec(workload, protocol)]
+    engine_result, engine_state = run_spec_with_metrics(
+        _spec(workload, protocol)
     )
     reference_result, reference_state = run_spec_with_metrics(
         _spec(workload, protocol, backend="reference")
     )
-    assert fast_result == compiled_result == batch_result == reference_result
+    assert fast_result == compiled_result == engine_result == reference_result
     assert compiled_state == fast_state
-    assert batch_state == fast_state
+    assert engine_state == fast_state
     # The reference loop walks every epoch individually, so its
     # epoch-granularity series differ by design; the physical slot and
     # message accounting must still agree to the last count.
@@ -140,12 +142,15 @@ def test_kernel_registries_equal(workload_name, protocol):
 
 
 def test_heterogeneous_batch_matches_per_spec_runs():
-    # One batch mixing every workload family (distinct arrival shapes,
-    # seeds and lane lengths) must equal the spec-at-a-time runs.
+    # One sweep batch mixing every workload family (distinct arrival
+    # shapes and seeds) must equal the spec-at-a-time reference runs.
     specs = [
         _spec(workload, "optimal", seed=11 + i)
         for i, (_, workload) in enumerate(sorted(WORKLOADS.items()))
     ]
-    batched = run_batch(specs)
-    individual = [run_spec(spec) for spec in specs]
+    batched = SweepExecutor(None).run_specs(specs)
+    individual = [
+        run_spec(dataclasses.replace(spec, backend="reference"))
+        for spec in specs
+    ]
     assert batched == individual

@@ -375,7 +375,6 @@ class TestServiceCommands:
         assert args.port == 0
         assert args.lease_ttl == 30.0
         assert args.max_jobs == 8
-        assert args.batch is True
 
     def test_submit_accepts_inline_json_and_wait_flags(self):
         args = build_parser().parse_args([
